@@ -2,7 +2,7 @@
 // a committed baseline and exits non-zero on regression, so CI can hold the
 // metadata-plane cost envelope over time.
 //
-// Rows are matched per profile name ("event", "group-poll", ...). A row
+// Rows are matched per profile name ("event", "group", "tasks", ...). A row
 // present in the baseline but absent from the new report is itself a
 // failure — a silently dropped benchmark looks exactly like a fixed one.
 //
@@ -15,8 +15,8 @@
 //     is both multiplicative (-lat-tolerance, default 50%) and additive
 //     (-lat-floor-ms, default 3 ms): a row only fails when the new p95
 //     exceeds base×(1+tol)+floor. Sub-millisecond jitter on a 0.3 ms
-//     baseline never trips it; a polling-regression jump from 2 ms to
-//     20 ms does.
+//     baseline never trips it; a delivery regression from 2 ms to 20 ms
+//     does.
 //
 // Throughput (items/s, MB/s) is reported but never gated: wall-clock rates
 // on shared runners regress for reasons that have nothing to do with the

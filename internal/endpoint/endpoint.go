@@ -107,6 +107,16 @@ type Endpoint struct {
 	peersMu sync.Mutex
 	peers   map[string]*peerConn
 
+	// dialing admits one outgoing handshake at a time, so concurrent first
+	// requests for a target share one peer channel instead of racing to
+	// install two whose far ends do not match.
+	dialing chan struct{}
+	// answers holds this endpoint's outstanding offers, keyed by the nonce
+	// each offer carries and its answer echoes.
+	answersMu sync.Mutex
+	answers   map[uint64]chan signalMsg
+	nonce     atomic.Uint64
+
 	seq      atomic.Uint64
 	pendMu   sync.Mutex
 	pending  map[uint64]chan response
@@ -140,6 +150,8 @@ func Start(apiAddr, relayAddr string, opts Options) (*Endpoint, error) {
 		relay:   rc,
 		store:   make(map[string][]byte),
 		peers:   make(map[string]*peerConn),
+		dialing: make(chan struct{}, 1),
+		answers: make(map[uint64]chan signalMsg),
 		pending: make(map[uint64]chan response),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -252,7 +264,16 @@ type signalMsg struct {
 	Kind      string // "offer" | "answer"
 	Candidate string // UDP address candidate (host:port)
 	Site      string // sender's netsim site, for link shaping
+	Nonce     uint64 // names the offer; its answer echoes it
 }
+
+// handshakeTimeout bounds how long an offer waits for its answer.
+const handshakeTimeout = 10 * time.Second
+
+// testHookOfferRegistered, when set, runs after an offer's answer waiter
+// is registered and before the offer is sent. Tests use it to delay the
+// send and prove an early answer cannot be lost.
+var testHookOfferRegistered func()
 
 // forward proxies a request to the owning endpoint over a peer channel.
 func (ep *Endpoint) forward(ctx context.Context, req request) response {
@@ -292,31 +313,51 @@ func (ep *Endpoint) forward(ctx context.Context, req request) response {
 // peer returns the established channel to target, initiating the handshake
 // if needed. Connections are kept until one endpoint stops (paper §4.2.2).
 func (ep *Endpoint) peer(ctx context.Context, target string) (*peerConn, error) {
-	ep.peersMu.Lock()
-	if pc, ok := ep.peers[target]; ok {
-		ep.peersMu.Unlock()
+	if pc := ep.lookupPeer(target); pc != nil {
 		return pc, nil
 	}
-	ep.peersMu.Unlock()
+	select {
+	case ep.dialing <- struct{}{}:
+		defer func() { <-ep.dialing }()
+	case <-ctx.Done():
+		return nil, fmt.Errorf("endpoint: waiting for another handshake: %w", ctx.Err())
+	}
+	if pc := ep.lookupPeer(target); pc != nil {
+		return pc, nil // a concurrent request completed the handshake
+	}
 
 	// Gather a local candidate: bind a UDP socket (the "hole punch").
 	pipe, err := rudp.NewUDPPipe("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	offer, err := encode(signalMsg{Kind: "offer", Candidate: pipe.LocalAddr(), Site: ep.opts.Site})
+	nonce := ep.nonce.Add(1)
+	offer, err := encode(signalMsg{Kind: "offer", Candidate: pipe.LocalAddr(), Site: ep.opts.Site, Nonce: nonce})
 	if err != nil {
 		pipe.Close()
 		return nil, err
 	}
+
+	// Register for the answer before sending the offer: the signal loop
+	// drops answers nobody waits for, and one may arrive before Forward
+	// returns.
+	answerCh := make(chan signalMsg, 1)
+	ep.answersMu.Lock()
+	ep.answers[nonce] = answerCh
+	ep.answersMu.Unlock()
+	defer func() {
+		ep.answersMu.Lock()
+		delete(ep.answers, nonce)
+		ep.answersMu.Unlock()
+	}()
+	if testHookOfferRegistered != nil {
+		testHookOfferRegistered()
+	}
 	if err := ep.relay.Forward(target, offer); err != nil {
 		pipe.Close()
-		return nil, err
+		return nil, fmt.Errorf("endpoint: sending offer to %s: %w", target, err)
 	}
 
-	// Await the answer, delivered via the signal loop.
-	answerCh := make(chan signalMsg, 1)
-	ep.pendAnswer(target, answerCh)
 	select {
 	case ans := <-answerCh:
 		if err := pipe.SetPeer(ans.Candidate); err != nil {
@@ -324,19 +365,20 @@ func (ep *Endpoint) peer(ctx context.Context, target string) (*peerConn, error) 
 			return nil, err
 		}
 		return ep.installPeer(target, pipe, ans.Site), nil
-	case <-time.After(10 * time.Second):
+	case <-time.After(handshakeTimeout):
 		pipe.Close()
-		return nil, fmt.Errorf("endpoint: handshake with %s timed out", target)
+		return nil, fmt.Errorf("endpoint: awaiting answer from %s: timed out after %v", target, handshakeTimeout)
 	case <-ctx.Done():
 		pipe.Close()
-		return nil, ctx.Err()
+		return nil, fmt.Errorf("endpoint: awaiting answer from %s: %w", target, ctx.Err())
 	}
 }
 
-var answerWaiters sync.Map // uuid(self)+target -> chan signalMsg
-
-func (ep *Endpoint) pendAnswer(target string, ch chan signalMsg) {
-	answerWaiters.Store(ep.uuid+"/"+target, ch)
+// lookupPeer returns the established channel to target, or nil.
+func (ep *Endpoint) lookupPeer(target string) *peerConn {
+	ep.peersMu.Lock()
+	defer ep.peersMu.Unlock()
+	return ep.peers[target]
 }
 
 func (ep *Endpoint) installPeer(target string, pipe rudp.Pipe, peerSite string) *peerConn {
@@ -420,7 +462,7 @@ func (ep *Endpoint) signalLoop() {
 				pipe.Close()
 				continue
 			}
-			answer, err := encode(signalMsg{Kind: "answer", Candidate: pipe.LocalAddr(), Site: ep.opts.Site})
+			answer, err := encode(signalMsg{Kind: "answer", Candidate: pipe.LocalAddr(), Site: ep.opts.Site, Nonce: m.Nonce})
 			if err != nil {
 				pipe.Close()
 				continue
@@ -431,8 +473,12 @@ func (ep *Endpoint) signalLoop() {
 			}
 			ep.installPeer(sig.From, pipe, m.Site)
 		case "answer":
-			if ch, ok := answerWaiters.LoadAndDelete(ep.uuid + "/" + sig.From); ok {
-				ch.(chan signalMsg) <- m
+			ep.answersMu.Lock()
+			ch, ok := ep.answers[m.Nonce]
+			delete(ep.answers, m.Nonce)
+			ep.answersMu.Unlock()
+			if ok {
+				ch <- m
 			}
 		}
 	}

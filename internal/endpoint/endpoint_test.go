@@ -150,6 +150,82 @@ func TestPeerConnectionReuse(t *testing.T) {
 	}
 }
 
+// An answer can arrive before the offering side's relay.Forward returns.
+// The hook widens the gap between registering the answer waiter and
+// sending the offer; had the waiter been registered after the send, the
+// early answer would be dropped and the handshake would stall until the
+// request's deadline.
+func TestPeerEarlyAnswerIsNotLost(t *testing.T) {
+	testHookOfferRegistered = func() { time.Sleep(100 * time.Millisecond) }
+	t.Cleanup(func() { testHookOfferRegistered = nil })
+	r := newRelay(t)
+	epA := startEndpoint(t, r.Addr(), Options{UUID: "early-a"})
+	epB := startEndpoint(t, r.Addr(), Options{UUID: "early-b"})
+	producer := NewClient(epA.Addr())
+	defer producer.Close()
+	consumer := NewClient(epB.Addr())
+	defer consumer.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if err := producer.Set(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	got, found, err := consumer.Get(ctx, "early-a", "k")
+	if err != nil || !found || string(got) != "v" {
+		t.Fatalf("forwarded Get = %q, %v, %v", got, found, err)
+	}
+	epB.answersMu.Lock()
+	left := len(epB.answers)
+	epB.answersMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d answer waiters left registered after the handshake", left)
+	}
+}
+
+// Concurrent first requests for one target share a single handshake:
+// every request succeeds and exactly one offer/answer pair crosses the
+// relay.
+func TestConcurrentPeeringsToOneTarget(t *testing.T) {
+	r := newRelay(t)
+	epA := startEndpoint(t, r.Addr(), Options{UUID: "conc-a"})
+	epB := startEndpoint(t, r.Addr(), Options{UUID: "conc-b"})
+	producer := NewClient(epA.Addr())
+	defer producer.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := producer.Set(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+
+	const requests = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, requests)
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			consumer := NewClient(epB.Addr())
+			defer consumer.Close()
+			got, found, err := consumer.Get(ctx, "conc-a", "k")
+			if err == nil && (!found || string(got) != "v") {
+				err = fmt.Errorf("Get = %q, %v", got, found)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := r.Forwarded(); f != 2 {
+		t.Fatalf("relay forwarded %d messages, want 2 (one offer, one answer)", f)
+	}
+}
+
 func TestPeerForwardingWithShapedLink(t *testing.T) {
 	n := netsim.New(10)
 	n.AddSite("siteA", true)

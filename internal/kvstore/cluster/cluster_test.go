@@ -249,13 +249,27 @@ func TestShardedPipeline(t *testing.T) {
 // TestShardedFailover: a shard with a real replicating pair keeps serving
 // through the primary's death — the router fails over, promotes, and the
 // replicated state is all there.
+// waitAttached blocks until prim streams to a replica. prim.Close drains
+// only attached replicas, so killing prim before its replica attaches
+// fails over to a replica that never saw the writes.
+func waitAttached(t *testing.T, prim *kvstore.Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(prim.InfoText(), "\nserver.replicas 1\n") {
+		if time.Now().After(deadline) {
+			t.Fatal("replica did not attach to the primary")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestShardedFailover(t *testing.T) {
 	dir := t.TempDir()
 	prim := newServer(t, kvstore.WithPersistence(filepath.Join(dir, "p.aof")))
 	repl := newServer(t,
 		kvstore.WithPersistence(filepath.Join(dir, "r.aof")),
 		kvstore.WithReplicaOf(prim.Addr()))
-	_ = repl
+	waitAttached(t, prim)
 	sc, err := New(prim.Addr() + "|" + repl.Addr())
 	if err != nil {
 		t.Fatalf("New: %v", err)

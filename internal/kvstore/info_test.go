@@ -90,15 +90,15 @@ func TestInfoWaitersGauge(t *testing.T) {
 	if g.Peak < 1 {
 		t.Fatalf("kv.waiters peak = %d, want >= 1", g.Peak)
 	}
-	if snap.Counters["kv.cmd.TWAITGET.count"]+snap.Counters["kv.cmd.WAITGET.count"] == 0 {
+	if snap.Counters["kv.cmd.TWAITGET.count"] == 0 {
 		t.Fatal("no wait command recorded")
 	}
 }
 
-// TestInfoUnknownOnOldServer: INFO itself must latch the standard
-// unknown-command error shape when a future build removes it — here we
-// simulate by asserting the error tag for a genuinely unknown command,
-// keeping the fallback contract documented in resp.go honest.
+// TestInfoUnknownOnOldServer: a command the server does not implement
+// answers with the standard unknown-command error shape, which the client
+// tags ErrUnknownCommand. The untagged WAITGET/WAITPREFIX are such
+// commands: TWAITGET/TWAITPREFIX are the only wait protocol.
 func TestInfoUnknownOnOldServer(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -109,7 +109,13 @@ func TestInfoUnknownOnOldServer(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.do(ctx, "NOSUCH"); !errors.Is(err, ErrUnknownCommand) {
-		t.Fatalf("unknown command error = %v, want ErrUnknownCommand", err)
+	for _, cmd := range [][]string{{"NOSUCH"}, {"WAITGET", "k", "10"}, {"WAITPREFIX", "p", "0", "10"}} {
+		args := make([][]byte, len(cmd)-1)
+		for i, a := range cmd[1:] {
+			args[i] = []byte(a)
+		}
+		if _, err := c.do(ctx, cmd[0], args...); !errors.Is(err, ErrUnknownCommand) {
+			t.Fatalf("%s error = %v, want ErrUnknownCommand", cmd[0], err)
+		}
 	}
 }

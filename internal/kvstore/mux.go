@@ -20,9 +20,9 @@ import (
 //
 // The mux connection carries ONLY tagged waits. That makes the reply
 // stream unambiguous: every frame is either a [tag, reply] array or an
-// untagged error — and an untagged error can only be a server that does
-// not know the tagged commands at all, which fails all parked waits with
-// ErrUnknownCommand so their callers latch onto the untagged protocol.
+// untagged error. The server never sends the latter for a well-formed
+// tagged wait, so it is a protocol error: it fails every parked wait with
+// the server's error and discards the connection; the next wait redials.
 //
 // An abandoned wait (context cancelled) is simply deregistered; its
 // eventual reply arrives with a tag nobody claims and is dropped, leaving
@@ -135,6 +135,7 @@ func (m *waitMux) do(ctx context.Context, budget time.Duration, name string, arg
 	}
 	m.mu.Unlock()
 	m.c.trip()
+	defer m.c.mWait.Since(time.Now())
 
 	select {
 	case rep := <-ch:
@@ -166,9 +167,9 @@ func (m *waitMux) readLoop(cc *clientConn, gen uint64) {
 			return
 		}
 		if v.kind == respError {
-			// Untagged error: the server rejected a tagged wait wholesale —
-			// a build that predates them. serverError tags unknown-command
-			// so the callers latch their fallback.
+			// Untagged error: the server rejected a wait without naming its
+			// tag, so no single waiter can be told. Protocol error: fail
+			// them all with the server's message.
 			m.fail(gen, serverError(v))
 			return
 		}

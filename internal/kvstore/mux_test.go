@@ -1,10 +1,13 @@
 package kvstore
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -151,49 +154,79 @@ func TestMuxCancelledWaitLeavesConnectionHealthy(t *testing.T) {
 	}
 }
 
-// Against a server that has blocking waits but predates the tagged
-// variants, the client must latch onto the untagged protocol after one
-// unknown-command reply and keep working transparently.
-func TestWaitGetFallsBackOnServerWithoutTaggedWaits(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", WithoutTaggedWaits())
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+// An untagged error frame on the mux connection names no wait, so it is a
+// protocol error: every parked wait fails with the server's message at
+// once — not at its timeout — and the next wait redials and succeeds. A
+// scripted in-process server (WithDialFunc) sends the frame, since the
+// real server always tags its wait replies.
+func TestMuxUntaggedErrorFailsParkedWaits(t *testing.T) {
+	var conns atomic.Int32
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, s := net.Pipe()
+		go scriptedWaitServer(s, conns.Add(1) == 1)
+		return c, nil
 	}
-	t.Cleanup(func() { srv.Close() })
-	cli := NewClient(srv.Addr())
+	cli := NewClient("scripted:0", WithDialFunc(dial))
 	t.Cleanup(func() { cli.Close() })
 	ctx := context.Background()
 
-	// Value already present: the fallback wait returns it.
-	if err := cli.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("Set: %v", err)
+	const parked = 2
+	errs := make(chan error, parked)
+	for i := 0; i < parked; i++ {
+		go func(i int) {
+			_, _, err := cli.WaitGet(ctx, fmt.Sprintf("k%d", i), 30*time.Second)
+			errs <- err
+		}(i)
 	}
-	if val, ok, err := cli.WaitGet(ctx, "k", time.Second); err != nil || !ok || string(val) != "v" {
-		t.Fatalf("WaitGet via fallback = %q, %v, %v", val, ok, err)
-	}
-	if !cli.muxOff.Load() {
-		t.Fatal("client did not latch the mux off after unknown-command")
-	}
-	// A parked fallback wait still wakes on a write.
-	got := make(chan error, 1)
-	go func() {
-		val, ok, err := cli.WaitGet(ctx, "late", 10*time.Second)
-		if err == nil && (!ok || string(val) != "x") {
-			err = fmt.Errorf("WaitGet = %q, %v", val, ok)
+	promptly := time.After(5 * time.Second) // the waits' own timeout is 30s
+	for i := 0; i < parked; i++ {
+		select {
+		case err := <-errs:
+			var re *ReplyError
+			if !errors.As(err, &re) || re.Msg != "ERR protocol violation" {
+				t.Fatalf("parked wait error = %v, want the server's untagged error", err)
+			}
+		case <-promptly:
+			t.Fatal("untagged error did not fail the parked waits promptly")
 		}
-		got <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	if err := cli.Set(ctx, "late", []byte("x")); err != nil {
-		t.Fatalf("Set: %v", err)
 	}
-	if err := <-got; err != nil {
-		t.Fatalf("parked fallback wait: %v", err)
+
+	val, ok, err := cli.WaitGet(ctx, "k", 30*time.Second)
+	if err != nil || !ok || string(val) != "v" {
+		t.Fatalf("WaitGet after the protocol error = %q, %v, %v", val, ok, err)
 	}
-	// WaitPrefix falls back too (muxOff is already latched — no second
-	// detection round trip).
-	if _, err := cli.WaitPrefix(ctx, "p", 0, time.Second); err != nil {
-		t.Fatalf("WaitPrefix via fallback: %v", err)
+	if got := cli.Dials(); got != 2 {
+		t.Fatalf("dials = %d, want 2 (the failed mux conn and its replacement)", got)
+	}
+}
+
+// scriptedWaitServer speaks just enough RESP for the wait multiplexer. When
+// reject is set it reads two tagged waits and answers with one untagged
+// error; otherwise it answers every tagged wait with the value "v".
+func scriptedWaitServer(conn net.Conn, reject bool) {
+	defer conn.Close()
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	for n := 1; ; n++ {
+		v, err := readValue(r)
+		if err != nil {
+			return
+		}
+		cmd, err := parseCommand(v)
+		if err != nil || len(cmd.args) == 0 {
+			return
+		}
+		var reply value
+		switch {
+		case !reject:
+			reply = taggedReply(cmd.args[0], bulkValue([]byte("v")))
+		case n == 2:
+			reply = errorValue("ERR protocol violation")
+		default:
+			continue
+		}
+		if writeValue(w, reply) != nil || w.Flush() != nil {
+			return
+		}
 	}
 }
 

@@ -184,7 +184,11 @@ func (s *Server) serveReplication(cmd command, conn net.Conn, r *bufio.Reader, w
 		s.aofMu.Unlock()
 		if offset >= size || feed.isDead() {
 			// Fully shipped and the server is closing (or the log broke), or
-			// the replica hung up: the feed is done.
+			// the replica hung up: the feed is done once the replica acks
+			// what it was sent. Returning deregisters the feed, so Close's
+			// drain would stop waiting for it and hang up on a replica
+			// that has not applied the tail.
+			s.awaitAck(feed, offset)
 			return
 		}
 		chunk, err := readAOFChunk(f, offset, size)
@@ -197,6 +201,21 @@ func (s *Server) serveReplication(cmd command, conn net.Conn, r *bufio.Reader, w
 		}
 		shipped.Add(uint64(len(chunk)))
 		offset += int64(len(chunk))
+	}
+}
+
+// awaitAck waits, at most replDrainTimeout, until the replica has acked
+// offset or hung up.
+func (s *Server) awaitAck(feed *replFeed, offset int64) {
+	deadline := time.Now().Add(replDrainTimeout)
+	for !feed.isDead() && time.Now().Before(deadline) {
+		s.feedMu.Lock()
+		acked := feed.acked >= offset
+		s.feedMu.Unlock()
+		if acked {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Self-checks for the battery itself: the conformance run is the contract
-// three brokers are held to, so a battery regression must fail here, in
+// both brokers are held to, so a battery regression must fail here, in
 // isolation, against the reference MemBroker — not as a confusing failure
 // in some broker's own test suite.
 package brokertest

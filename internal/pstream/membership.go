@@ -253,7 +253,7 @@ func (m *Membership) split(ctx context.Context) (live, dead []string, err error)
 // "membership state may have changed", not an edge-triggered join/leave
 // signal — re-read Live and diff.
 func (m *Membership) Watch(ctx context.Context, after uint64, timeout time.Duration) (uint64, error) {
-	return m.b.waitClient.WaitPrefix(ctx, kvMemberPrefix(m.topic, m.group), after, timeout)
+	return m.b.client.WaitPrefix(ctx, kvMemberPrefix(m.topic, m.group), after, timeout)
 }
 
 // Reap deletes dead members — expired or missing heartbeats — from the
